@@ -1,10 +1,12 @@
 """The deformed geometric representation of the twin group over Z[x].
 
 Each generator of T_n maps to an (n-1) x (n-1) integer-polynomial matrix
-that is the identity outside a small block around the diagonal; at x = 2
-these specialize to the classical reflection matrices of the group. A word
-maps to the left-to-right product of its generator matrices, and exact
-determinants of (image - identity) feed the invariant downstream.
+that is the identity outside one column; at x = 2 these specialize to the
+classical reflection matrices of the group. A word maps to the left-to-right
+product of its generator matrices. ``psi`` builds that product without any
+matrix multiplication: each letter rewrites one column of the running image
+as a shift-and-add of it and its two neighbours. Exact determinants of
+(image - identity) feed the invariant downstream.
 """
 from __future__ import annotations
 
@@ -44,6 +46,11 @@ class PolyMatrix:
         return self.rows[i][j]
 
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
+        """Dense matrix product.
+
+        A specification that tests multiply generator matrices with; no
+        production path uses it.
+        """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         cols = tuple(zip(*other.rows))
@@ -76,6 +83,9 @@ def generator_matrix(n: int, i: int) -> PolyMatrix:
     Identity except a 3x3 block [[1, x, 0], [0, -1, 0], [0, x, 1]] centered
     at position i; at the edges the block loses its missing row and column.
     For n = 2 the single generator maps to the 1x1 matrix (-1).
+
+    This is the specification that tests check ``psi`` and the group
+    relations against; no production path uses it.
     """
     if n < 2:
         raise IndexError(f"need n >= 2, got {n}")
@@ -100,13 +110,41 @@ def generator_matrix(n: int, i: int) -> PolyMatrix:
 
 
 def psi(w: TwinWord) -> PolyMatrix:
-    """Image of a word: product of generator matrices, first letter leftmost."""
+    """Image of a word: product of generator matrices, first letter leftmost.
+
+    Right-multiplying by the image of generator l rewrites only column
+    j = l-1, to x*c[j-1] - c[j] + x*c[j+1], with a missing neighbour column
+    read as zero. So the product is built by one such column rewrite per
+    letter on coefficient lists, starting from the identity.
+    """
     if w.strands < 2:
         raise ValueError("word images need at least 2 strands")
-    result = PolyMatrix.identity(w.strands - 1)
+    m = w.strands - 1
+    cols = [[[1] if r == c else [] for r in range(m)] for c in range(m)]
+    zero_col = [[]] * m
     for l in w.letters:
-        result = result * generator_matrix(w.strands, l)
-    return result
+        j = l - 1
+        left = cols[j - 1] if j > 0 else zero_col
+        right = cols[j + 1] if j + 1 < m else zero_col
+        cols[j] = [_shift_add_sub(*t) for t in zip(left, cols[j], right)]
+    rows = tuple(tuple(IntPoly(col[r]) for col in cols) for r in range(m))
+    return PolyMatrix(m, rows)
+
+
+def _shift_add_sub(a: list[int], mid: list[int], b: list[int]) -> list[int]:
+    """x*(a + b) - mid on ascending coefficient lists, trailing zeros trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0, *a]
+    for i, c in enumerate(b, 1):
+        out[i] += c
+    if len(out) < len(mid):
+        out += [0] * (len(mid) - len(out))
+    for i, c in enumerate(mid):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def determinant(m: PolyMatrix) -> IntPoly:

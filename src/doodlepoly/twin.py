@@ -106,49 +106,47 @@ def parse_word(text: str, strands: int | None = None) -> TwinWord:
             return read_int("an exponent after '^'")
         return 1
 
-    def read_word(depth: int) -> list[int]:
-        nonlocal pos
-        out: list[int] = []
-        while True:
+    # Groups are parsed with an explicit stack of the enclosing groups'
+    # letter lists, so nesting depth is bounded by memory, not recursion.
+    enclosing: list[list[int]] = []
+    out: list[int] = []
+    while True:
+        skip_ws()
+        if pos >= n:
+            if enclosing:
+                raise WordSyntaxError("unbalanced '(': missing ')'", pos)
+            break
+        ch = text[pos]
+        if ch == "(":
+            enclosing.append(out)
+            out = []
+            pos += 1
+            continue
+        if ch == ")":
+            if not enclosing:
+                raise WordSyntaxError("unbalanced ')'", pos)
+            pos += 1
             skip_ws()
-            if pos >= n:
-                if depth > 0:
-                    raise WordSyntaxError("unbalanced '(': missing ')'", pos)
-                return out
-            ch = text[pos]
-            if ch == ")":
-                if depth == 0:
-                    raise WordSyntaxError("unbalanced ')'", pos)
-                return out
-            if ch == "(":
-                open_pos = pos
-                pos += 1
-                inner = read_word(depth + 1)
-                if pos >= n or text[pos] != ")":
-                    raise WordSyntaxError("unbalanced '(': missing ')'", open_pos)
-                pos += 1
-                skip_ws()
-                item = inner
-            elif ch.isdigit():
-                if ch == "0":
-                    raise WordSyntaxError("generator index must be >= 1", pos)
-                pos += 1
-                item = [int(ch)]
-            elif ch == "t":
-                pos += 1
-                idx = read_int("a generator index after 't'")
-                if idx < 1:
-                    raise WordSyntaxError("generator index must be >= 1", pos - 1)
-                item = [idx]
-            else:
-                raise WordSyntaxError(f"unexpected character {ch!r}", pos)
-            k = read_exponent()
-            if k < 0:
-                item, k = item[::-1], -k
-            out.extend(item * k)
+            item, out = out, enclosing.pop()
+        elif ch.isdigit():
+            if ch == "0":
+                raise WordSyntaxError("generator index must be >= 1", pos)
+            pos += 1
+            item = [int(ch)]
+        elif ch == "t":
+            pos += 1
+            idx = read_int("a generator index after 't'")
+            if idx < 1:
+                raise WordSyntaxError("generator index must be >= 1", pos - 1)
+            item = [idx]
+        else:
+            raise WordSyntaxError(f"unexpected character {ch!r}", pos)
+        k = read_exponent()
+        if k < 0:
+            item, k = item[::-1], -k
+        out.extend(item * k)
 
-    letters = read_word(0)
-    return word(letters, strands)
+    return word(out, strands)
 
 
 def format_word(w: TwinWord) -> str:
@@ -166,22 +164,20 @@ def reduce_word(w: TwinWord) -> TwinWord:
     One left-to-right pass with commutation lookback: each incoming letter
     scans back past letters it commutes with (index gap > 1) and cancels
     against an equal letter if it reaches one. The buffer stays fully
-    reduced throughout, but the pass is still iterated to a fixed point.
+    reduced throughout: a cancelled letter commuted with every letter after
+    it, so it blocked none of their scans, and its removal exposes no new
+    cancellation.
     """
-    letters = list(w.letters)
-    while True:
-        out: list[int] = []
-        for a in letters:
-            j = len(out) - 1
-            while j >= 0 and abs(out[j] - a) > 1:
-                j -= 1
-            if j >= 0 and out[j] == a:
-                del out[j]
-            else:
-                out.append(a)
-        if len(out) == len(letters):
-            return TwinWord(tuple(out), w.strands)
-        letters = out
+    out: list[int] = []
+    for a in w.letters:
+        j = len(out) - 1
+        while j >= 0 and abs(out[j] - a) > 1:
+            j -= 1
+        if j >= 0 and out[j] == a:
+            del out[j]
+        else:
+            out.append(a)
+    return TwinWord(tuple(out), w.strands)
 
 
 def inverse_word(w: TwinWord) -> TwinWord:
@@ -292,7 +288,7 @@ def apply_markov(w: TwinWord, move: MarkovMove) -> TwinWord:
         raise InvalidMoveError(f"{move.kind} needs a stabilization index")
     if move.forward:
         return _stabilize(w, move.kind, move.index)
-    return _destabilize(w, move.kind, move.index)
+    return _destabilize(reduce_word(w), move.kind, move.index)
 
 
 def _apply_m0(w: TwinWord, forward: bool) -> TwinWord:
@@ -320,13 +316,13 @@ def _stabilize(w: TwinWord, kind: str, i: int) -> TwinWord:
     )
 
 
-def _destabilize(w: TwinWord, kind: str, i: int) -> TwinWord:
-    m = w.strands
+def _destabilize(reduced: TwinWord, kind: str, i: int) -> TwinWord:
+    """Remove a stabilization pattern from the end of an already-reduced word."""
+    m = reduced.strands
     if m < 2:
         raise InvalidMoveError("cannot remove a strand from a 1-strand word")
     if not 0 <= i <= m - 2:
         raise InvalidMoveError(f"stabilization index {i} out of range 0..{m - 2}")
-    reduced = reduce_word(w)
     pattern = (
         stab_word_right(m - 1, i) if kind == "M2R" else stab_word_left(m - 1, i)
     ).letters

@@ -48,6 +48,22 @@ class TestCompute:
         caret_line = err.splitlines()[-1]
         assert caret_line == "  " + " " * 2 + "^"
 
+    def test_deep_nesting(self, capsys):
+        # deeper than the interpreter's recursion limit
+        deep = "(" * 3000 + "1" + ")" * 3000
+        code, out, err = run(capsys, "compute", "--word", deep)
+        assert (code, err) == (0, "")
+        assert (code, out) == run(capsys, "compute", "--word", "1")[:2]
+
+    def test_deep_nesting_missing_close(self, capsys):
+        # like "(1", the caret marks the end of input, where ')' is missing
+        text = "(" * 3000 + "1" + ")" * 2999
+        code, out, err = run(capsys, "compute", "--word", text)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert lines[0] == "error: unbalanced '(': missing ')' (at position 6000)"
+        assert lines[1:] == ["  " + text, "  " + " " * len(text) + "^"]
+
     def test_empty_word_without_strands(self, capsys):
         code, _, err = run(capsys, "compute", "--word", "")
         assert code == 2

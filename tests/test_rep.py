@@ -12,6 +12,7 @@ from doodlepoly.rep import (
     psi,
     row_times_matrix,
 )
+from doodlepoly.table import dataset
 from doodlepoly.twin import TwinWord, iota_left, iota_right, random_word, word
 from oracles import det_cofactor, reflection_matrix
 
@@ -105,6 +106,33 @@ class TestPsi:
     def test_one_strand_rejected(self):
         with pytest.raises(ValueError):
             psi(TwinWord((), 1))
+
+    @staticmethod
+    def dense_product(w: TwinWord) -> PolyMatrix:
+        m = PolyMatrix.identity(w.strands - 1)
+        for l in w.letters:
+            m = m * generator_matrix(w.strands, l)
+        return m
+
+    def test_matches_dense_product_on_table_words(self):
+        words = [e.word() for e in dataset()]
+        words = [w for w in words if w.strands >= 2]
+        assert len(words) == 36
+        for w in words:
+            assert psi(w) == self.dense_product(w), w
+
+    def test_matches_every_single_generator(self):
+        # covers both edge columns and the 1x1 image on 2 strands
+        for n in range(2, 10):
+            for i in range(1, n):
+                assert psi(TwinWord((i,), n)) == generator_matrix(n, i)
+
+    def test_matches_dense_product_on_random_words(self):
+        rng = random.Random(2020)
+        words = [TwinWord(tuple(rng.randint(1, 15) for _ in range(200)), 16)]
+        words += [random_word(rng.randrange(2**30), 16, 200) for _ in range(12)]
+        for w in words:
+            assert psi(w) == self.dense_product(w), w
 
 
 class TestBlockForm:
