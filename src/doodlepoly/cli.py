@@ -26,6 +26,7 @@ from .table import (
     verify_entry,
 )
 from .twin import (
+    MAX_STRANDS,
     EmptyWordError,
     TwinWord,
     WordSyntaxError,
@@ -40,13 +41,22 @@ class _UsageError(Exception):
     """Carries a diagnostic already formatted for stderr; exits with 2."""
 
 
+def _caret_error(message: str, text: str, position: int) -> _UsageError:
+    return _UsageError(f"error: {message}\n  {text}\n  {' ' * position}^")
+
+
 def _word_from_args(args: argparse.Namespace) -> TwinWord:
     text = args.word
+    if args.strands is not None and args.strands > MAX_STRANDS:
+        raise _caret_error(
+            f"strand count exceeds the limit of {MAX_STRANDS}",
+            f"--strands {args.strands}",
+            len("--strands "),
+        )
     try:
         return parse_word(text, strands=args.strands)
     except WordSyntaxError as exc:
-        caret = " " * exc.position + "^"
-        raise _UsageError(f"error: {exc}\n  {text}\n  {caret}") from exc
+        raise _caret_error(str(exc), text, exc.position) from exc
     except EmptyWordError as exc:
         raise _UsageError(f"error: {exc}; pass --strands") from exc
     except ValueError as exc:
@@ -146,9 +156,8 @@ def cmd_table(args: argparse.Namespace) -> int:
             if report.components_ok
             else f"BAD (computed {report.components_computed})"
         )
-        power = f" x^{report.relative_power}" if report.relative_power else ""
         print(
-            f"{entry.name:7s} match={report.match}{power}  "
+            f"{entry.name:7s} match={report.match}  "
             f"components={entry.components} {comp}"
         )
         if not report.ok():

@@ -6,7 +6,12 @@ classical reflection matrices of the group. A word maps to the left-to-right
 product of its generator matrices. ``psi`` builds that product without any
 matrix multiplication: each letter rewrites one column of the running image
 as a shift-and-add of it and its two neighbours. Exact determinants of
-(image - identity) feed the invariant downstream.
+(image - identity) feed the invariant downstream. ``determinant`` works on
+integers, not polynomials: it evaluates the entries at x = 2^width, with
+width taken from Hadamard's bound on the unit circle (halved when the
+matrix is graded, since its determinant then lies in Z[x^2]), runs one
+integer Bareiss elimination, and reads the coefficients back as signed
+digits of the result.
 """
 from __future__ import annotations
 
@@ -67,7 +72,7 @@ class PolyMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         rows = tuple(
-            tuple(a - b for a, b in zip(r1, r2))
+            tuple(a - b if b else a for a, b in zip(r1, r2))
             for r1, r2 in zip(self.rows, other.rows)
         )
         return PolyMatrix(self.dim, rows)
@@ -148,34 +153,91 @@ def _shift_add_sub(a: list[int], mid: list[int], b: list[int]) -> list[int]:
 
 
 def determinant(m: PolyMatrix) -> IntPoly:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant, as one integer Bareiss elimination at x = 2^width.
 
-    Every interior division is guaranteed exact over an integral domain, so
-    the whole computation stays in Z[x]; pivoting by row swap flips the sign.
+    Bound: on |x| = 1 every entry has modulus at most |m_ij|_1, the sum of
+    its absolute coefficients, so by Hadamard |det m(x)| <= H =
+    prod_i sqrt(sum_j |m_ij|_1^2), and every coefficient of det(m), being
+    a mean of det m(x) * x^-k over the unit circle, is at most H. With
+    bits = ceil(log2 H) + 2 each coefficient lies well inside a signed
+    digit of that many bits.
+
+    Grading: when every entry (r, c) has only terms of degree = r - c
+    (mod 2), as every psi(w) - I does, each Leibniz term has even degree
+    and det(m) lies in Z[x^2]; then consecutive coefficients sit 2 * width
+    bits apart, so width = ceil(bits / 2) suffices and every integer is half
+    as long. The stride (step 2 or 1) is read off the entries.
+
+    Evaluation at 2^width is a ring homomorphism, so fraction-free
+    elimination on the packed entries, with a row swap on a zero pivot,
+    gives det(m)(2^width) exactly. Its signed base-2^(step * width) digits
+    are the coefficients at degrees 0, step, 2 * step, ...
     """
     dim = m.dim
     if dim == 0:
         return ONE
-    a = [list(row) for row in m.rows]
+    norm_product = 1
+    step = 2
+    for r, row in enumerate(m.rows):
+        row_sum = 0
+        for c, e in enumerate(row):
+            cs = e.coeffs
+            if cs:
+                row_sum += sum(map(abs, cs)) ** 2
+                if step == 2 and any(cs[(r - c + 1) % 2::2]):
+                    step = 1
+        norm_product *= row_sum
+    if not norm_product:
+        return ZERO
+    bits = (norm_product.bit_length() + 1) // 2 + 2
+    width = -(-bits // step)
+    a = [[_pack(e.coeffs, width) for e in row] for row in m.rows]
     sign = 1
-    prev = ONE
+    prev = 1
     for k in range(dim - 1):
         pivot_row = k
-        while pivot_row < dim and a[pivot_row][k].is_zero():
+        while pivot_row < dim and not a[pivot_row][k]:
             pivot_row += 1
         if pivot_row == dim:
             return ZERO
         if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
-        pivot = a[k][k]
+        top = a[k]
+        pivot = top[k]
         for i in range(k + 1, dim):
-            for j in range(k + 1, dim):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = ZERO
+            row = a[i]
+            lead = row[k]
+            row[k + 1:] = [
+                (pivot * v - lead * t) // prev
+                for v, t in zip(row[k + 1:], top[k + 1:])
+            ]
         prev = pivot
-    result = a[dim - 1][dim - 1]
-    return result if sign == 1 else -result
+    return _unpack(sign * a[dim - 1][dim - 1], step, width)
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """The value at x = 2^width, by Horner; exact for any coefficient size."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << width) + c
+    return v
+
+
+def _unpack(v: int, step: int, width: int) -> IntPoly:
+    """Read v as signed base-2^(step*width) digits at degrees 0, step, ..."""
+    shift = step * width
+    base = 1 << shift
+    half = base >> 1
+    mask = base - 1
+    out: list[int] = []
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= base
+        out.extend((c, 0) if step == 2 else (c,))
+        v = (v - c) >> shift
+    return IntPoly(out)
 
 
 def a_matrix(n: int) -> PolyMatrix:

@@ -50,16 +50,26 @@ class TableEntry:
 
 _ENCODED_RE = re.compile(r"\{(\d+)\}")
 
+MAX_HALF_DEGREE = 1_000_000
+"""The largest ``{k}`` that ``decode_entry`` accepts."""
+
 
 def decode_entry(text: str) -> IntPoly:
-    """Decode ``{k}(c1,...,cm)`` (or the zero token ``0``) into a polynomial."""
+    """Decode ``{k}(c1,...,cm)`` (or the zero token ``0``) into a polynomial.
+
+    A ``k`` above MAX_HALF_DEGREE raises FormatError before anything of
+    size k is allocated.
+    """
     s = text.strip()
     if s == "0":
         return ZERO
     m = _ENCODED_RE.match(s)
     if not m:
         raise FormatError("expected '{k}' with a nonnegative integer k", 0)
-    k = int(m.group(1))
+    digits = m.group(1)
+    if len(digits) > len(str(MAX_HALF_DEGREE)) or int(digits) > MAX_HALF_DEGREE:
+        raise FormatError(f"k exceeds the limit of {MAX_HALF_DEGREE}", 1)
+    k = int(digits)
     pos = m.end()
     if pos >= len(s) or s[pos] != "(":
         raise FormatError("expected '(' after '{k}'", pos)
@@ -106,52 +116,31 @@ def encode_entry(p: IntPoly) -> str:
 class VerifyReport:
     """Outcome of recomputing one table entry.
 
-    ``match`` is one of 'exact', 'up-to-x-power', 'up-to-sign-and-x-power'
-    or 'mismatch'; ``relative_power`` is the exponent 2k with
-    computed = x^(2k) * table value (0 unless a power relation holds).
+    ``match`` is 'exact' when the recomputed invariant equals the decoded
+    table value, else 'mismatch'.
     """
 
     entry: TableEntry
     match: str
-    relative_power: int
     computed: IntPoly
     components_computed: int
     components_ok: bool
 
     def ok(self) -> bool:
-        return self.match != "mismatch" and self.components_ok
+        return self.match == "exact" and self.components_ok
 
 
 def verify_entry(entry: TableEntry) -> VerifyReport:
     """Recompute an entry's invariant and compare against its encoding."""
     w = entry.word()
     computed = f_invariant(w).raw
-    expected = decode_entry(entry.encoded)
     comp = component_count(w)
-    comp_ok = comp == entry.components
-
-    if computed.is_zero() or expected.is_zero():
-        match = "exact" if computed == expected else "mismatch"
-        rel = 0
-    else:
-        cv, cs = computed.x2_valuation()
-        ev, es = expected.x2_valuation()
-        if cs == es:
-            match = "exact" if computed == expected else "up-to-x-power"
-            rel = 2 * (cv - ev)
-        elif cs == -es:
-            match = "up-to-sign-and-x-power"
-            rel = 2 * (cv - ev)
-        else:
-            match = "mismatch"
-            rel = 0
     return VerifyReport(
         entry=entry,
-        match=match,
-        relative_power=rel,
+        match="exact" if computed == decode_entry(entry.encoded) else "mismatch",
         computed=computed,
         components_computed=comp,
-        components_ok=comp_ok,
+        components_ok=comp == entry.components,
     )
 
 

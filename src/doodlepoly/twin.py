@@ -16,6 +16,13 @@ import random
 from typing import Iterable
 
 
+MAX_STRANDS = 1000
+"""The largest strand count ``parse_word`` accepts."""
+
+MAX_LETTERS = 1_000_000
+"""The most letters ``parse_word`` expands a text into."""
+
+
 class WordSyntaxError(ValueError):
     """Malformed word text; ``position`` is the 0-based offset of the fault."""
 
@@ -78,7 +85,18 @@ def parse_word(text: str, strands: int | None = None) -> TwinWord:
 
     The strand count defaults to max letter + 1; pass ``strands`` to embed
     the word in a larger group or to give an empty word a home.
+
+    Input that would allocate without bound is refused before anything is
+    allocated. A strand count above MAX_STRANDS (1000) raises ValueError.
+    A ``t`` index of MAX_STRANDS or more, an exponent above MAX_LETTERS
+    (1,000,000) in absolute value, or an item whose expansion would take
+    the word past MAX_LETTERS letters raises WordSyntaxError at the index or
+    the exponent.
     """
+    if strands is not None and strands > MAX_STRANDS:
+        raise ValueError(
+            f"strand count {strands} exceeds the limit of {MAX_STRANDS}"
+        )
     pos = 0
     n = len(text)
 
@@ -87,29 +105,36 @@ def parse_word(text: str, strands: int | None = None) -> TwinWord:
         while pos < n and text[pos].isspace():
             pos += 1
 
-    def read_int(what: str) -> int:
+    def read_int(what: str, name: str, limit: int) -> int:
         nonlocal pos
         start = pos
         if pos < n and text[pos] in "+-":
             pos += 1
         while pos < n and text[pos].isdigit():
             pos += 1
-        if pos == start or not text[start:pos].lstrip("+-"):
+        digits = text[start:pos].lstrip("+-")
+        if not digits:
             raise WordSyntaxError(f"expected {what}", start)
+        # the length test keeps int() off arbitrarily long digit strings
+        if len(digits) > len(str(limit)) or int(digits) > limit:
+            raise WordSyntaxError(f"{name} exceeds the limit of {limit}", start)
         return int(text[start:pos])
 
-    def read_exponent() -> int:
+    def read_exponent() -> tuple[int, int]:
+        """(start, value) of a ``^k`` exponent; (pos, 1) when there is none."""
         nonlocal pos
         if pos < n and text[pos] == "^":
             pos += 1
             skip_ws()
-            return read_int("an exponent after '^'")
-        return 1
+            return pos, read_int("an exponent after '^'", "exponent", MAX_LETTERS)
+        return pos, 1
 
     # Groups are parsed with an explicit stack of the enclosing groups'
     # letter lists, so nesting depth is bounded by memory, not recursion.
+    # ``count`` is the number of letters held on all levels together.
     enclosing: list[list[int]] = []
     out: list[int] = []
+    count = 0
     while True:
         skip_ws()
         if pos >= n:
@@ -128,22 +153,30 @@ def parse_word(text: str, strands: int | None = None) -> TwinWord:
             pos += 1
             skip_ws()
             item, out = out, enclosing.pop()
+            held = len(item)
         elif ch.isdigit():
             if ch == "0":
                 raise WordSyntaxError("generator index must be >= 1", pos)
             pos += 1
-            item = [int(ch)]
+            item, held = [int(ch)], 0
         elif ch == "t":
             pos += 1
-            idx = read_int("a generator index after 't'")
+            idx = read_int(
+                "a generator index after 't'", "generator index", MAX_STRANDS - 1
+            )
             if idx < 1:
                 raise WordSyntaxError("generator index must be >= 1", pos - 1)
-            item = [idx]
+            item, held = [idx], 0
         else:
             raise WordSyntaxError(f"unexpected character {ch!r}", pos)
-        k = read_exponent()
+        at, k = read_exponent()
         if k < 0:
             item, k = item[::-1], -k
+        count += len(item) * k - held
+        if count > MAX_LETTERS:
+            raise WordSyntaxError(
+                f"word exceeds the limit of {MAX_LETTERS} letters", at
+            )
         out.extend(item * k)
 
     return word(out, strands)

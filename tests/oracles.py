@@ -1,10 +1,13 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 These deliberately avoid the production code paths they are used to check:
-the determinant oracle is naive Laplace expansion, and the reflection
-matrices are built from their own integer definition rather than by
-evaluating the deformed generators.
+the polynomial determinant oracle is naive Laplace expansion; the integer
+generator images are built from their own definition rather than by
+evaluating the deformed generators, multiplied out at an integer point, and
+their determinant taken by Gaussian elimination over the rationals.
 """
+from fractions import Fraction
+
 from doodlepoly.poly import ONE, ZERO, IntPoly
 from doodlepoly.rep import PolyMatrix
 
@@ -27,20 +30,63 @@ def det_cofactor(m: PolyMatrix) -> IntPoly:
     return total
 
 
-def reflection_matrix(n: int, i: int) -> tuple[tuple[int, ...], ...]:
-    """The integer reflection matrix for generator i of the n-strand group."""
+def reflection_matrix(n: int, i: int, a: int = 2) -> tuple[tuple[int, ...], ...]:
+    """The integer image of generator i of the n-strand group at x = a.
+
+    At the default a = 2 this is the classical reflection matrix.
+    """
     m = n - 1
     rows = [[1 if r == c else 0 for c in range(m)] for r in range(m)]
     if n == 2:
         return ((-1,),)
     if i == 1:
         rows[0][0] = -1
-        rows[1][0] = 2
+        rows[1][0] = a
     elif i == n - 1:
-        rows[m - 2][m - 1] = 2
+        rows[m - 2][m - 1] = a
         rows[m - 1][m - 1] = -1
     else:
-        rows[i - 2][i - 1] = 2
+        rows[i - 2][i - 1] = a
         rows[i - 1][i - 1] = -1
-        rows[i][i - 1] = 2
+        rows[i][i - 1] = a
     return tuple(tuple(r) for r in rows)
+
+
+def image_minus_identity_at(n: int, letters, a: int) -> list[list[int]]:
+    """psi(w) - I at x = a: the product of the integer generator images."""
+    m = n - 1
+    acc = [[int(r == c) for c in range(m)] for r in range(m)]
+    for i in letters:
+        g = reflection_matrix(n, i, a)
+        terms = [(k, j, g[k][j]) for k in range(m) for j in range(m) if g[k][j]]
+        new = []
+        for row in acc:
+            out = [0] * m
+            for k, j, v in terms:
+                out[j] += row[k] * v
+            new.append(out)
+        acc = new
+    for r in range(m):
+        acc[r][r] -= 1
+    return acc
+
+
+def det_rational(rows: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by Gaussian elimination over Q."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    dim = len(a)
+    det = Fraction(1)
+    for k in range(dim):
+        pivot = next((r for r in range(k, dim) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, dim):
+            f = a[r][k] / a[k][k]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    assert det.denominator == 1
+    return int(det)

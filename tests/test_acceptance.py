@@ -125,7 +125,7 @@ def test_criterion_02_reference_table():
     assert len(entries) == 37
     for entry in entries:
         report = verify_entry(entry)
-        assert report.match != "mismatch", (entry.name, report.match)
+        assert report.match == "exact", (entry.name, report.match)
         assert report.components_ok, (
             entry.name,
             report.components_computed,

@@ -64,6 +64,21 @@ class TestCompute:
         assert lines[0] == "error: unbalanced '(': missing ')' (at position 6000)"
         assert lines[1:] == ["  " + text, "  " + " " * len(text) + "^"]
 
+    @pytest.mark.parametrize(
+        "argv, shown, position",
+        [
+            (("--word", "(12)^99999999999999999999"), "(12)^99999999999999999999", 5),
+            (("--word", "t99999999999999"), "t99999999999999", 1),
+            (("--word", "1", "--strands", "99999999999"), "--strands 99999999999", 10),
+        ],
+    )
+    def test_unbounded_input_refused(self, capsys, argv, shown, position):
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert "exceeds the limit" in lines[0]
+        assert lines[1:] == ["  " + shown, "  " + " " * position + "^"]
+
     def test_empty_word_without_strands(self, capsys):
         code, _, err = run(capsys, "compute", "--word", "")
         assert code == 2

@@ -12,9 +12,21 @@ from doodlepoly.rep import (
     psi,
     row_times_matrix,
 )
-from doodlepoly.table import dataset
-from doodlepoly.twin import TwinWord, iota_left, iota_right, random_word, word
-from oracles import det_cofactor, reflection_matrix
+from doodlepoly.table import dataset, family_b
+from doodlepoly.twin import (
+    TwinWord,
+    component_count,
+    iota_left,
+    iota_right,
+    random_word,
+    word,
+)
+from oracles import (
+    det_cofactor,
+    det_rational,
+    image_minus_identity_at,
+    reflection_matrix,
+)
 
 
 def P(*coeffs: int) -> IntPoly:
@@ -188,20 +200,67 @@ class TestDeterminant:
         m = mat([[1, 2], [1, 2]])
         assert determinant(m) == ZERO
 
+    def test_single_entry_wider_than_a_digit(self):
+        # graded 1x1: the coefficient is wider than width (x = 2^width)
+        assert determinant(mat([[(0, 0, 1000)]])) == P(0, 0, 1000)
+        assert determinant(mat([[(0, 0, -(2**200))]])) == P(0, 0, -(2**200))
+
+    def test_graded_row_swap(self):
+        m = mat([[0, (0, 999)], [(0, 7), 0]])
+        assert determinant(m) == P(0, 0, -6993)
+
+    def test_graded_singular(self):
+        m = mat([[1, (0, 1)], [(0, 1), (0, 0, 1)]])
+        assert determinant(m) == ZERO
+
+    @staticmethod
+    def random_matrix(
+        rng: random.Random, graded: bool, max_dim: int = 5, max_len: int = 7
+    ) -> PolyMatrix:
+        dim = rng.randint(1, max_dim)
+        bits = rng.choice((2, 8, 64, 300))
+
+        def entry(r: int, c: int) -> IntPoly:
+            coeffs = [0] * rng.randint(0, max_len)
+            for k in range(len(coeffs)):
+                if not (graded and (k - r + c) % 2) and rng.random() < 0.7:
+                    coeffs[k] = rng.randint(-(2**bits), 2**bits)
+            return IntPoly(coeffs)
+
+        return PolyMatrix.from_rows(
+            [[entry(r, c) for c in range(dim)] for r in range(dim)]
+        )
+
     def test_matches_cofactor_oracle(self):
         rng = random.Random(99)
-        for _ in range(60):
-            dim = rng.randint(1, 5)
-            m = PolyMatrix.from_rows(
-                [
-                    [
-                        IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
-                        for _ in range(dim)
-                    ]
-                    for _ in range(dim)
-                ]
-            )
-            assert determinant(m) == det_cofactor(m)
+        for graded in (True, False):
+            for _ in range(150):
+                m = self.random_matrix(rng, graded)
+                assert determinant(m) == det_cofactor(m), m
+            for _ in range(20):
+                # high-degree entries: many digits to read back
+                m = self.random_matrix(rng, graded, max_dim=3, max_len=60)
+                assert determinant(m) == det_cofactor(m), m
+
+    def test_matches_integer_point_oracle(self):
+        # sizes beyond the cofactor oracle's reach
+        rng = random.Random(2009)
+        words = [one_component_word(rng, 12, 251), one_component_word(rng, 16, 201)]
+        words.append(family_b(128))
+        for w in words:
+            n = w.strands
+            det = determinant(psi(w) - PolyMatrix.identity(n - 1))
+            for a in (2, 3, -3, 5):
+                expected = det_rational(image_minus_identity_at(n, w.letters, a))
+                assert det.evaluate(a) == expected, (w, a)
+
+
+def one_component_word(rng: random.Random, strands: int, length: int) -> TwinWord:
+    """A uniform random word whose closure has one component (by rejection)."""
+    while True:
+        w = TwinWord(tuple(rng.randint(1, strands - 1) for _ in range(length)), strands)
+        if component_count(w) == 1:
+            return w
 
 
 class TestAMatrix:

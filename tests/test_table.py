@@ -3,6 +3,7 @@ import pytest
 from doodlepoly.invariant import canonical_invariant, f_invariant
 from doodlepoly.poly import ONE, ZERO, IntPoly, ZeroPolynomialError
 from doodlepoly.table import (
+    MAX_HALF_DEGREE,
     FormatError,
     OddTermsError,
     dataset,
@@ -56,6 +57,18 @@ class TestDecode:
         with pytest.raises(FormatError) as exc:
             decode_entry("{2}(1,?)")
         assert exc.value.position == 6
+
+    @pytest.mark.parametrize(
+        "k", ["1000001", "9" * 20, "9" * 5000], ids=["over", "20-digits", "5000-digits"]
+    )
+    def test_half_degree_limit(self, k):
+        # refused before a list of size k is built
+        with pytest.raises(FormatError, match="exceeds the limit") as exc:
+            decode_entry("{%s}(1)" % k)
+        assert exc.value.position == 1
+
+    def test_half_degree_limit_inclusive(self):
+        assert decode_entry("{%d}(1)" % MAX_HALF_DEGREE).degree == 2 * MAX_HALF_DEGREE
 
 
 class TestEncode:
@@ -143,7 +156,6 @@ class TestVerify:
             report = verify_entry(e)
             assert report.match == "exact", (e.name, report.match)
             assert report.components_ok, e.name
-            assert report.relative_power == 0
 
     def test_borromean_report(self):
         report = verify_entry(entry_by_name("6^3"))
@@ -166,16 +178,14 @@ class TestVerify:
         assert not report.ok()
 
     def test_power_relation_detected(self):
+        # values equal only up to x^(2k) or sign are not the table value
         e = entry_by_name("6^3")
         import dataclasses
 
-        shifted = dataclasses.replace(e, encoded="{3}(1,-2,1)")
-        report = verify_entry(shifted)
-        assert report.match == "up-to-x-power"
-        assert report.relative_power == -2
-        sign = dataclasses.replace(e, encoded="{2}(-1,2,-1)")
-        report = verify_entry(sign)
-        assert report.match == "up-to-sign-and-x-power"
+        for encoded in ("{3}(1,-2,1)", "{2}(-1,2,-1)", "{3}(-1,2,-1)"):
+            report = verify_entry(dataclasses.replace(e, encoded=encoded))
+            assert report.match == "mismatch", encoded
+            assert not report.ok()
 
 
 class TestFamilies:

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from doodlepoly.twin import (
+    MAX_LETTERS,
+    MAX_STRANDS,
     EmptyWordError,
     InvalidMoveError,
     MarkovMove,
@@ -105,6 +107,34 @@ class TestParse:
         a = parse_word("4 3 2 3 1 2 3 2 4 3 2 1 (2 3)^4")
         b = parse_word("432312324321(23)^4")
         assert a == b
+
+    # The limit tests refuse before expanding; none allocates a large word.
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(12)^99999999999999999999", 5),
+            ("(12)^-" + "9" * 5000, 5),
+            ("1^1000001", 2),
+            ("((12)^1000)^ 1000", 13),
+            ("(1^400000 (2^400000 (3^300000)))", 23),
+            ("t99999999999999", 1),
+            ("t" + "9" * 5000, 1),
+            ("t1000", 1),
+        ],
+        ids=lambda v: v if isinstance(v, int) or len(v) < 40 else f"{v[:6]}...",
+    )
+    def test_limits_refused_in_place(self, text, position):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word(text)
+        assert exc.value.position == position
+        assert "exceeds the limit" in str(exc.value)
+
+    def test_limits_inclusive(self):
+        assert parse_word("t999").strands == MAX_STRANDS
+        assert len(parse_word("(1^1000)^1000")) == MAX_LETTERS
+        assert parse_word("", strands=MAX_STRANDS).strands == MAX_STRANDS
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            parse_word("1", strands=MAX_STRANDS + 1)
 
 
 class TestFormat:
