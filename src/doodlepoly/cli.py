@@ -26,6 +26,7 @@ from .table import (
     verify_entry,
 )
 from .twin import (
+    MAX_LETTERS,
     MAX_STRANDS,
     EmptyWordError,
     TwinWord,
@@ -91,50 +92,47 @@ def cmd_components(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_markov_test(args: argparse.Namespace) -> int:
+def _run_trials(name: str, args: argparse.Namespace, trial) -> int:
+    """Run ``trial(rng)`` --trials times; it returns a counterexample or None."""
     rng = random.Random(args.seed)
     failures = 0
-    for trial in range(args.trials):
-        w = random_word(rng.randrange(2**32), args.max_strands, args.max_len)
-        moves = rng.randint(0, args.max_moves)
-        end, trail = random_markov_walk(rng.randrange(2**32), w, moves)
-        if canonical_invariant(w) != canonical_invariant(end):
+    for index in range(args.trials):
+        found = trial(rng)
+        if found is not None:
             failures += 1
             if failures == 1:
-                print(
-                    f"counterexample at trial {trial}: start={w!r} "
-                    f"moves={trail!r} end={end!r}",
-                    file=sys.stderr,
-                )
+                print(f"counterexample at trial {index}: {found}", file=sys.stderr)
     print(
-        f"markov-test: {args.trials} trials, {args.trials - failures} passed, "
+        f"{name}: {args.trials} trials, {args.trials - failures} passed, "
         f"{failures} failed (seed {args.seed})"
     )
     return 1 if failures else 0
 
 
+def cmd_markov_test(args: argparse.Namespace) -> int:
+    def trial(rng: random.Random) -> str | None:
+        w = random_word(rng.randrange(2**32), args.max_strands, args.max_len)
+        moves = rng.randint(0, args.max_moves)
+        end, trail = random_markov_walk(rng.randrange(2**32), w, moves)
+        if canonical_invariant(w) == canonical_invariant(end):
+            return None
+        return f"start={w!r} moves={trail!r} end={end!r}"
+
+    return _run_trials("markov-test", args, trial)
+
+
 def cmd_skein_test(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    failures = 0
-    for trial in range(args.trials):
+    def trial(rng: random.Random) -> str | None:
         prefix = random_word(rng.randrange(2**32), 5, 8)
         if prefix.strands < 3:
             prefix = TwinWord(prefix.letters, 3)
         i = rng.randint(1, prefix.strands - 2)
         defect = skein_defect(prefix, i)
-        if not defect.is_zero():
-            failures += 1
-            if failures == 1:
-                print(
-                    f"counterexample at trial {trial}: prefix={prefix!r} "
-                    f"i={i} defect={defect}",
-                    file=sys.stderr,
-                )
-    print(
-        f"skein-test: {args.trials} trials, {args.trials - failures} passed, "
-        f"{failures} failed (seed {args.seed})"
-    )
-    return 1 if failures else 0
+        if defect.is_zero():
+            return None
+        return f"prefix={prefix!r} i={i} defect={defect}"
+
+    return _run_trials("skein-test", args, trial)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -166,32 +164,26 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    n = int(text)
-    return n, n
+def _count(text: str, name: str, limit: int) -> int:
+    # ASCII digits only, as in words, and length-checked before int()
+    digits = text.isascii() and text.isdigit() and len(text) <= len(str(limit))
+    if not (digits and 1 <= int(text) <= limit):
+        raise _UsageError(f"error: {name} must be in 1..{limit}, got {text!r}")
+    return int(text)
 
 
 def cmd_family(args: argparse.Namespace) -> int:
     if args.b is not None:
-        try:
-            lo, hi = _parse_range(args.b)
-        except ValueError as exc:
-            raise _UsageError(f"error: bad range {args.b!r}") from exc
-        for n in range(lo, hi + 1):
-            value = canonical_invariant(family_b(n))
-            print(f"B_{n}: {_encoded_or_zero(value)}")
-        return 0
-    r, n_text = args.c
-    try:
-        lo, hi = _parse_range(n_text)
-    except ValueError as exc:
-        raise _UsageError(f"error: bad range {n_text!r}") from exc
+        label, build, n_text = "B", family_b, args.b
+    else:
+        r = _count(args.c[0], "R", MAX_STRANDS - 3)
+        label, build, n_text = f"C^{r}", lambda n: family_c(r, n), args.c[1]
+    limit = MAX_LETTERS // len(build(1))  # build(n) repeats build(1) n times
+    lo_text, dots, hi_text = n_text.partition("..")
+    lo = _count(lo_text, "N", limit)
+    hi = _count(hi_text, "M", limit) if dots else lo
     for n in range(lo, hi + 1):
-        value = canonical_invariant(family_c(int(r), n))
-        print(f"C^{r}_{n}: {_encoded_or_zero(value)}")
+        print(f"{label}_{n}: {_encoded_or_zero(canonical_invariant(build(n)))}")
     return 0
 
 

@@ -9,6 +9,7 @@ representative shared by every word closing to the same doodle.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .poly import ONE, ZERO, IntPoly, NotDivisibleError
 from .rep import PolyMatrix, determinant, psi
@@ -33,17 +34,15 @@ def chebyshev_u(n: int) -> IntPoly:
 def p_poly(n: int) -> IntPoly:
     """The normalizing family: P_0 = 1, P_1 = -2, P_n = -2*P_(n-1) - x^2*P_(n-2).
 
-    Equivalently the coefficients of U_n reversed in order and signed by
-    (-1)^n; the recurrence form keeps everything inside Z[x].
+    Equivalently U_n reversed and signed by (-1)^n, built here in closed
+    form: the coefficient of x^(2k) is (-1)^(n+k) * C(n-k, k) * 2^(n-2k).
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    prev, cur = ONE, IntPoly((-2,))
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, cur * -2 - prev * IntPoly((0, 0, 1))
-    return cur
+    coeffs: list[int] = []
+    for k in range(n // 2 + 1):
+        coeffs += [(-1) ** (n + k) * math.comb(n - k, k) << (n - 2 * k), 0]
+    return IntPoly(coeffs)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,7 +11,7 @@ grow fast), which is why plain Python ints carry the whole module.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class NotDivisibleError(ArithmeticError):
@@ -39,10 +39,6 @@ class IntPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @staticmethod
-    def const(c: int) -> IntPoly:
-        return IntPoly((c,))
-
-    @staticmethod
     def monomial(c: int, degree: int) -> IntPoly:
         """The polynomial c*x^degree."""
         if degree < 0:
@@ -60,17 +56,15 @@ class IntPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
     def __getitem__(self, degree: int) -> int:
         """Coefficient of x^degree (0 beyond the stored range)."""
         if 0 <= degree < len(self.coeffs):
             return self.coeffs[degree]
         return 0
 
-    def __add__(self, other: IntPoly | int) -> IntPoly:
-        other = _coerce(other)
+    __iter__ = None  # __getitem__ never ends a fallback iteration; use coeffs
+
+    def __add__(self, other: IntPoly) -> IntPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -79,16 +73,11 @@ class IntPoly:
             out[i] += c
         return IntPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> IntPoly:
         return IntPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: IntPoly | int) -> IntPoly:
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other: IntPoly | int) -> IntPoly:
-        return _coerce(other) + (-self)
+    def __sub__(self, other: IntPoly) -> IntPoly:
+        return self + (-other)
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
@@ -102,19 +91,6 @@ class IntPoly:
                 for j, d in enumerate(b):
                     out[i + j] += c * d
         return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> IntPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def exact_div(self, den: IntPoly) -> IntPoly:
         """Return q with q*den == self, by long division over Z[x].
@@ -200,12 +176,6 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({self.to_text()!r})"
-
-
-def _coerce(value: IntPoly | int) -> IntPoly:
-    if isinstance(value, IntPoly):
-        return value
-    return IntPoly((value,))
 
 
 ZERO = IntPoly()

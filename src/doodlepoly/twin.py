@@ -79,9 +79,10 @@ def parse_word(text: str, strands: int | None = None) -> TwinWord:
     """Parse compact twin-word notation into a TwinWord.
 
     Grammar: a word is a sequence of items; an item is a digit 1-9, a
-    parenthesized word, or ``t`` followed by an integer index; any item may
-    carry ``^k`` which repeats it (negative k means the inverse, i.e. the
-    reversal, since every generator is an involution).
+    parenthesized word, or ``t`` followed by a decimal index; any item may
+    carry ``^k`` which repeats it (``^-k`` means the inverse, i.e. the
+    reversal, since every generator is an involution). Digits are ASCII
+    only, and ``-`` in an exponent is the only sign.
 
     The strand count defaults to max letter + 1; pass ``strands`` to embed
     the word in a larger group or to give an empty word a home.
@@ -108,26 +109,17 @@ def parse_word(text: str, strands: int | None = None) -> TwinWord:
     def read_int(what: str, name: str, limit: int) -> int:
         nonlocal pos
         start = pos
-        if pos < n and text[pos] in "+-":
+        if pos < n and text[pos] == "-":
             pos += 1
-        while pos < n and text[pos].isdigit():
+        while pos < n and "0" <= text[pos] <= "9":
             pos += 1
-        digits = text[start:pos].lstrip("+-")
+        digits = text[start:pos].lstrip("-")
         if not digits:
             raise WordSyntaxError(f"expected {what}", start)
         # the length test keeps int() off arbitrarily long digit strings
         if len(digits) > len(str(limit)) or int(digits) > limit:
             raise WordSyntaxError(f"{name} exceeds the limit of {limit}", start)
         return int(text[start:pos])
-
-    def read_exponent() -> tuple[int, int]:
-        """(start, value) of a ``^k`` exponent; (pos, 1) when there is none."""
-        nonlocal pos
-        if pos < n and text[pos] == "^":
-            pos += 1
-            skip_ws()
-            return pos, read_int("an exponent after '^'", "exponent", MAX_LETTERS)
-        return pos, 1
 
     # Groups are parsed with an explicit stack of the enclosing groups'
     # letter lists, so nesting depth is bounded by memory, not recursion.
@@ -154,7 +146,7 @@ def parse_word(text: str, strands: int | None = None) -> TwinWord:
             skip_ws()
             item, out = out, enclosing.pop()
             held = len(item)
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             if ch == "0":
                 raise WordSyntaxError("generator index must be >= 1", pos)
             pos += 1
@@ -169,7 +161,11 @@ def parse_word(text: str, strands: int | None = None) -> TwinWord:
             item, held = [idx], 0
         else:
             raise WordSyntaxError(f"unexpected character {ch!r}", pos)
-        at, k = read_exponent()
+        at, k = pos, 1
+        if pos < n and text[pos] == "^":
+            pos += 1
+            skip_ws()
+            at, k = pos, read_int("an exponent after '^'", "exponent", MAX_LETTERS)
         if k < 0:
             item, k = item[::-1], -k
         count += len(item) * k - held
@@ -327,13 +323,13 @@ def apply_markov(w: TwinWord, move: MarkovMove) -> TwinWord:
 def _apply_m0(w: TwinWord, forward: bool) -> TwinWord:
     if w.strands < 2:
         raise InvalidMoveError("M0 needs at least 2 strands")
-    p = permutation_of(w)
+    # Letter l moves only strands l-1 and l (0-based), so an edge strand is
+    # unused exactly when no letter names it.
     if forward:
-        edge = w.strands - 1
-        if p[edge] != edge or any(l == edge for l in w.letters):
+        if w.strands - 1 in w.letters:
             raise InvalidMoveError("M0 forward needs an unused rightmost strand")
         return TwinWord(tuple(l + 1 for l in w.letters), w.strands)
-    if p[0] != 0 or any(l == 1 for l in w.letters):
+    if 1 in w.letters:
         raise InvalidMoveError("M0 backward needs an unused leftmost strand")
     return TwinWord(tuple(l - 1 for l in w.letters), w.strands)
 
@@ -366,10 +362,10 @@ def _destabilize(reduced: TwinWord, kind: str, i: int) -> TwinWord:
         )
     prefix = reduced.letters[:-k]
     if kind == "M2R":
-        if any(l > m - 2 for l in prefix):
+        if m - 1 in prefix:
             raise InvalidMoveError("prefix is not a right inclusion image")
         return TwinWord(prefix, m - 1)
-    if any(l < 2 for l in prefix):
+    if 1 in prefix:
         raise InvalidMoveError("prefix is not a left inclusion image")
     return TwinWord(tuple(l - 1 for l in prefix), m - 1)
 
@@ -419,18 +415,19 @@ def _available_moves(w: TwinWord, rng: random.Random) -> list[MarkovMove]:
     if n < _WALK_MAX_STRANDS:
         options.append(MarkovMove("M2R", index=rng.randint(0, n - 1)))
         options.append(MarkovMove("M2L", index=rng.randint(0, n - 1)))
-    reduced = reduce_word(w)
-    p = permutation_of(w)
-    if n >= 2 and p[n - 1] == n - 1 and all(l != n - 1 for l in w.letters):
+    if n >= 2 and n - 1 not in w.letters:
         options.append(MarkovMove("M0", forward=True))
-    if n >= 2 and p[0] == 0 and all(l != 1 for l in w.letters):
+    if n >= 2 and 1 not in w.letters:
         options.append(MarkovMove("M0", forward=False))
-    for kind in ("M2R", "M2L"):
-        for i in range(n - 1):
+    # A pattern of length 2i+1 starts at the first edge letter (it begins
+    # with one and the prefix has none), so only that i can be removed.
+    reduced = reduce_word(w)
+    for kind, edge in (("M2R", n - 1), ("M2L", 1)):
+        if edge in reduced.letters:
+            i = (len(reduced) - reduced.letters.index(edge)) // 2
             try:
                 _destabilize(reduced, kind, i)
             except InvalidMoveError:
                 continue
             options.append(MarkovMove(kind, index=i, forward=False))
-            break
     return options

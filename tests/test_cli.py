@@ -79,6 +79,23 @@ class TestCompute:
         assert "exceeds the limit" in lines[0]
         assert lines[1:] == ["  " + shown, "  " + " " * position + "^"]
 
+    # Only ASCII digits, and '-' as the only sign: each is refused in place.
+    @pytest.mark.parametrize(
+        "text, position",
+        [("\u0663", 0), ("\u00b2", 0), ("t+3", 1), ("1^+2", 2)],
+        ids=["arabic-indic-3", "superscript-2", "t-plus", "exponent-plus"],
+    )
+    def test_grammar_refused_with_caret(self, capsys, text, position):
+        code, out, err = run(capsys, "compute", "--word", text)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert err.splitlines()[1:] == ["  " + text, "  " + " " * position + "^"]
+
+    def test_negative_exponent_parses(self, capsys):
+        code, out, _ = run(capsys, "compute", "--word", "(12)^-2", "--format", "coeffs")
+        assert code == 0
+        assert out == run(capsys, "compute", "--word", "2121", "--format", "coeffs")[1]
+
     def test_empty_word_without_strands(self, capsys):
         code, _, err = run(capsys, "compute", "--word", "")
         assert code == 2
@@ -181,6 +198,29 @@ class TestFamily:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "family", "--b", "x..y")
         assert code == 2
+
+    # Bad values are refused before any word is built: exit 2, no traceback.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--c", "0", "3"), "error: R must be in 1..997, got '0'"),
+            (("--c", "x", "3"), "error: R must be in 1..997, got 'x'"),
+            (("--c", "998", "1"), "error: R must be in 1..997, got '998'"),
+            (("--b", "0..3"), "error: N must be in 1..500000, got '0'"),
+            (("--b", "-5"), "error: N must be in 1..500000, got '-5'"),
+            (("--b", "3.."), "error: M must be in 1..500000, got ''"),
+            (("--b", "1..500001"), "error: M must be in 1..500000, got '500001'"),
+            (("--b", "9" * 5000), "error: N must be in 1..500000, got '9999"),
+            (("--b", "\u0663"), "error: N must be in 1..500000, got '\u0663'"),
+            (("--b", "+3"), "error: N must be in 1..500000, got '+3'"),
+            (("--c", "997", "1..502"), "error: M must be in 1..501, got '502'"),
+        ],
+        ids=lambda v: " ".join(v)[:20] if isinstance(v, tuple) else None,
+    )
+    def test_bad_values_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "family", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and len(err.splitlines()) == 1
 
     def test_requires_choice(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -25,6 +25,7 @@ from doodlepoly.twin import (
     stab_word_right,
     word,
 )
+from doodlepoly.twin import _available_moves, _destabilize
 
 
 class TestTwinWord:
@@ -336,6 +337,42 @@ class TestMarkovMoves:
     def test_m2_backward_requires_pattern(self):
         with pytest.raises(InvalidMoveError):
             apply_markov(word([2, 1], 3), MarkovMove("M2R", index=0, forward=False))
+
+    def test_only_the_first_edge_letter_index_destabilizes(self):
+        # A stabilization pattern runs from the first edge letter to the end,
+        # so no index but (len - first edge position) // 2 can be removed, and
+        # a walk offers exactly the removals that a search over all i finds.
+        rng = random.Random(44)
+        hits = 0
+        for _ in range(2400):
+            w = random_word(rng.randrange(2**30), 7, 12)
+            for _ in range(rng.randint(0, 2)):
+                kind = rng.choice(("M2R", "M2L"))
+                i = rng.randint(0, w.strands - 1)
+                w = apply_markov(w, MarkovMove(kind, index=i))
+            r = reduce_word(w)
+            n = r.strands
+            searched = set()
+            for kind, edge in (("M2R", n - 1), ("M2L", 1)):
+                found = set()
+                for i in range(n - 1):
+                    try:
+                        _destabilize(r, kind, i)
+                    except InvalidMoveError:
+                        continue
+                    found.add(i)
+                if found:
+                    hits += 1
+                    first = r.letters.index(edge)
+                    assert found == {(len(r) - first) // 2}, (r, kind)
+                searched |= {(kind, i) for i in found}
+            offered = {
+                (m.kind, m.index)
+                for m in _available_moves(w, random.Random(0))
+                if m.kind != "M0" and not m.forward
+            }
+            assert offered == searched, w
+        assert hits > 1000
 
     def test_m0_roundtrip(self):
         w = iota_right(word([1, 2], 3))  # letters 1,2 on 4 strands
