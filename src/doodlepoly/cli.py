@@ -28,6 +28,7 @@ from .table import (
 from .twin import (
     MAX_LETTERS,
     MAX_STRANDS,
+    WALK_STEP_LETTERS,
     EmptyWordError,
     TwinWord,
     WordSyntaxError,
@@ -110,6 +111,11 @@ def _run_trials(name: str, args: argparse.Namespace, trial) -> int:
 
 
 def cmd_markov_test(args: argparse.Namespace) -> int:
+    _at_most("--max-strands", args.max_strands, MAX_STRANDS)
+    letters = args.max_len + WALK_STEP_LETTERS * args.max_moves
+    name = f"--max-len + {WALK_STEP_LETTERS} * --max-moves"
+    _at_most(name, letters, MAX_LETTERS)
+
     def trial(rng: random.Random) -> str | None:
         w = random_word(rng.randrange(2**32), args.max_strands, args.max_len)
         moves = rng.randint(0, args.max_moves)
@@ -172,16 +178,24 @@ def _count(text: str, name: str, limit: int) -> int:
     return int(text)
 
 
+def _at_most(name: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise _UsageError(f"error: {name} must be <= {limit}, got {value}")
+
+
 def cmd_family(args: argparse.Namespace) -> int:
     if args.b is not None:
         label, build, n_text = "B", family_b, args.b
     else:
         r = _count(args.c[0], "R", MAX_STRANDS - 3)
         label, build, n_text = f"C^{r}", lambda n: family_c(r, n), args.c[1]
-    limit = MAX_LETTERS // len(build(1))  # build(n) repeats build(1) n times
+    unit = len(build(1))  # build(n) repeats build(1) n times
+    limit = MAX_LETTERS // unit
     lo_text, dots, hi_text = n_text.partition("..")
     lo = _count(lo_text, "N", limit)
     hi = _count(hi_text, "M", limit) if dots else lo
+    total = unit * (lo + hi) * (hi - lo + 1) // 2
+    _at_most(f"the letter count of N[..M] = {n_text}", total, MAX_LETTERS)
     for n in range(lo, hi + 1):
         print(f"{label}_{n}: {_encoded_or_zero(canonical_invariant(build(n)))}")
     return 0

@@ -254,6 +254,12 @@ def iota_left(w: TwinWord) -> TwinWord:
     return TwinWord(tuple(l + 1 for l in w.letters), w.strands + 1)
 
 
+def mirror_word(w: TwinWord) -> TwinWord:
+    """The automorphism t_i -> t_(n-i) of T_n; psi(mirror w) = J psi(w) J."""
+    n = w.strands
+    return TwinWord(tuple(n - l for l in w.letters), n)
+
+
 def stab_word_right(n: int, i: int) -> TwinWord:
     """The right hyper-stabilization word on n+1 strands.
 
@@ -267,15 +273,8 @@ def stab_word_right(n: int, i: int) -> TwinWord:
 
 
 def stab_word_left(n: int, i: int) -> TwinWord:
-    """The left hyper-stabilization word on n+1 strands.
-
-    Palindrome of length 2i+1 climbing from generator 1 to i+1 and back;
-    the letters live on the leftmost strands regardless of n.
-    """
-    if not 0 <= i <= n - 1:
-        raise IndexError(f"stabilization index {i} out of range 0..{n - 1}")
-    up = list(range(1, i + 1))
-    return TwinWord(tuple(up + [i + 1] + up[::-1]), n + 1)
+    """The left hyper-stabilization word: stab_word_right in the mirror."""
+    return mirror_word(stab_word_right(n, i))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -299,9 +298,10 @@ class MarkovMove:
 
 
 def apply_markov(w: TwinWord, move: MarkovMove) -> TwinWord:
-    """Apply one Markov move, validating its parameters against w."""
-    if move.kind == "M0":
-        return _apply_m0(w, move.forward)
+    """Apply one Markov move, validating its parameters against w.
+
+    M0 backward and M2L are M0 forward and M2R seen in the mirror.
+    """
     if move.kind == "M1":
         if move.conjugator is None:
             raise InvalidMoveError("M1 needs a conjugator word")
@@ -313,61 +313,40 @@ def apply_markov(w: TwinWord, move: MarkovMove) -> TwinWord:
         if not move.forward:
             g = inverse_word(g)
         return TwinWord(inverse_word(g).letters + w.letters + g.letters, w.strands)
-    if move.index is None:
+    if move.kind != "M0" and move.index is None:
         raise InvalidMoveError(f"{move.kind} needs a stabilization index")
-    if move.forward:
-        return _stabilize(w, move.kind, move.index)
-    return _destabilize(reduce_word(w), move.kind, move.index)
+    left = move.kind == "M2L" or (move.kind == "M0" and not move.forward)
+    side = mirror_word(w) if left else w
+    n = side.strands
+    if move.kind == "M0":
+        # Letter l moves only strands l-1 and l (0-based), so an edge strand
+        # is unused exactly when no letter names it.
+        if n < 2 or n - 1 in side.letters:
+            raise InvalidMoveError("M0 needs 2 strands or more, an edge one unused")
+        out = TwinWord(tuple(l + 1 for l in side.letters), n)
+    elif move.forward:
+        out = TwinWord(side.letters + _stab_letters(n, move.index), n + 1)
+    else:
+        out = _destabilize(reduce_word(side), move.index)
+    return mirror_word(out) if left else out
 
 
-def _apply_m0(w: TwinWord, forward: bool) -> TwinWord:
-    if w.strands < 2:
-        raise InvalidMoveError("M0 needs at least 2 strands")
-    # Letter l moves only strands l-1 and l (0-based), so an edge strand is
-    # unused exactly when no letter names it.
-    if forward:
-        if w.strands - 1 in w.letters:
-            raise InvalidMoveError("M0 forward needs an unused rightmost strand")
-        return TwinWord(tuple(l + 1 for l in w.letters), w.strands)
-    if 1 in w.letters:
-        raise InvalidMoveError("M0 backward needs an unused leftmost strand")
-    return TwinWord(tuple(l - 1 for l in w.letters), w.strands)
+def _stab_letters(n: int, i: int) -> tuple[int, ...]:
+    """stab_word_right(n, i).letters, its IndexError raised as a move error."""
+    try:
+        return stab_word_right(n, i).letters
+    except IndexError as exc:
+        raise InvalidMoveError(str(exc)) from None
 
 
-def _stabilize(w: TwinWord, kind: str, i: int) -> TwinWord:
-    n = w.strands
-    if not 0 <= i <= n - 1:
-        raise InvalidMoveError(f"stabilization index {i} out of range 0..{n - 1}")
-    if kind == "M2R":
-        return TwinWord(w.letters + stab_word_right(n, i).letters, n + 1)
-    return TwinWord(
-        tuple(l + 1 for l in w.letters) + stab_word_left(n, i).letters, n + 1
-    )
-
-
-def _destabilize(reduced: TwinWord, kind: str, i: int) -> TwinWord:
-    """Remove a stabilization pattern from the end of an already-reduced word."""
+def _destabilize(reduced: TwinWord, i: int) -> TwinWord:
+    """Undo M2R at index i: strip its pattern from an already-reduced word."""
     m = reduced.strands
-    if m < 2:
-        raise InvalidMoveError("cannot remove a strand from a 1-strand word")
-    if not 0 <= i <= m - 2:
-        raise InvalidMoveError(f"stabilization index {i} out of range 0..{m - 2}")
-    pattern = (
-        stab_word_right(m - 1, i) if kind == "M2R" else stab_word_left(m - 1, i)
-    ).letters
-    k = len(pattern)
-    if reduced.letters[-k:] != pattern:
-        raise InvalidMoveError(
-            f"word does not end with the {kind} stabilization pattern for i={i}"
-        )
-    prefix = reduced.letters[:-k]
-    if kind == "M2R":
-        if m - 1 in prefix:
-            raise InvalidMoveError("prefix is not a right inclusion image")
-        return TwinWord(prefix, m - 1)
-    if 1 in prefix:
-        raise InvalidMoveError("prefix is not a left inclusion image")
-    return TwinWord(tuple(l - 1 for l in prefix), m - 1)
+    pattern = _stab_letters(m - 1, i)
+    prefix = reduced.letters[: -len(pattern)]
+    if reduced.letters[len(prefix) :] != pattern or m - 1 in prefix:
+        raise InvalidMoveError(f"word is not an i={i} stabilization of T_{m - 1}")
+    return TwinWord(prefix, m - 1)
 
 
 def random_word(seed: int, max_strands: int, max_len: int) -> TwinWord:
@@ -383,8 +362,10 @@ def random_word(seed: int, max_strands: int, max_len: int) -> TwinWord:
 
 
 # Forward stabilizations stop growing the word past this many strands so
-# random walks cannot blow up the matrix sizes downstream.
+# random walks cannot blow up the matrix sizes downstream. So a walk step adds
+# at most 2i + 1 <= 2n - 1 letters for n < 8, a conjugation at most 6.
 _WALK_MAX_STRANDS = 8
+WALK_STEP_LETTERS = 2 * _WALK_MAX_STRANDS - 3
 
 
 def random_markov_walk(
@@ -420,14 +401,18 @@ def _available_moves(w: TwinWord, rng: random.Random) -> list[MarkovMove]:
     if n >= 2 and 1 not in w.letters:
         options.append(MarkovMove("M0", forward=False))
     # A pattern of length 2i+1 starts at the first edge letter (it begins
-    # with one and the prefix has none), so only that i can be removed.
+    # with one and the prefix has none), so only that i can be removed, and
+    # only if the run from there to the end has odd length. The left side is
+    # checked in the mirror.
     reduced = reduce_word(w)
     for kind, edge in (("M2R", n - 1), ("M2L", 1)):
-        if edge in reduced.letters:
-            i = (len(reduced) - reduced.letters.index(edge)) // 2
-            try:
-                _destabilize(reduced, kind, i)
-            except InvalidMoveError:
-                continue
-            options.append(MarkovMove(kind, index=i, forward=False))
+        first = reduced.letters.index(edge) if edge in reduced.letters else len(reduced)
+        i, odd = divmod(len(reduced) - first, 2)
+        if not odd:
+            continue
+        try:
+            _destabilize(reduced if kind == "M2R" else mirror_word(reduced), i)
+        except InvalidMoveError:
+            continue
+        options.append(MarkovMove(kind, index=i, forward=False))
     return options

@@ -1,6 +1,11 @@
 import pytest
 
+from doodlepoly import cli
 from doodlepoly.cli import main
+from doodlepoly.poly import ZERO
+
+
+TOTAL = "error: the letter count of N[..M]"
 
 
 def run(capsys, *argv):
@@ -141,6 +146,50 @@ class TestMarkovTest:
             run(capsys, "markov-test", "--trials", "-1")
         assert exc.value.code == 2
 
+    # A walk starts on at most --max-strands strands and grows by at most 13
+    # letters a move; sizes past the word limits are refused before any trial.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("--max-strands", "1001"),
+                "error: --max-strands must be <= 1000, got 1001",
+            ),
+            (
+                ("--max-strands", "424533559247"),
+                "error: --max-strands must be <= 1000, got 424533559247",
+            ),
+            (
+                ("--max-len", "1000000", "--max-moves", "1"),
+                "error: --max-len + 13 * --max-moves must be <= 1000000, got 1000013",
+            ),
+            (
+                ("--max-moves", "76923"),
+                "error: --max-len + 13 * --max-moves must be <= 1000000, got 1000009",
+            ),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_sizes_past_the_limits_refused(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "random_word", no_trial)
+        code, out, err = run(capsys, "markov-test", *argv)
+        assert (code, out) == (2, "")
+        assert err == message + "\n"
+
+    def test_sizes_at_the_limits_accepted(self, capsys):
+        for argv in (
+            ("--max-strands", "1000"),
+            ("--max-len", "999987", "--max-moves", "1"),
+            ("--max-moves", "76922"),
+        ):
+            code, out, _ = run(capsys, "markov-test", "--trials", "0", *argv)
+            assert (code, out.split(":")[0]) == (0, "markov-test")
+
 
 class TestSkeinTest:
     def test_small_run_passes(self, capsys):
@@ -214,6 +263,11 @@ class TestFamily:
             (("--b", "\u0663"), "error: N must be in 1..500000, got '\u0663'"),
             (("--b", "+3"), "error: N must be in 1..500000, got '+3'"),
             (("--c", "997", "1..502"), "error: M must be in 1..501, got '502'"),
+            # the words of a range are evaluated one by one, so their total
+            # size is capped too, after the per-word limits
+            (("--b", "1..1000"), f"{TOTAL} = 1..1000 must be <= 1000000, got 1001000"),
+            (("--b", "1..500000"), f"{TOTAL} = 1..500000 must be <= 1000000, got 25"),
+            (("--c", "997", "250..253"), f"{TOTAL} = 250..253 must be <= 1000000"),
         ],
         ids=lambda v: " ".join(v)[:20] if isinstance(v, tuple) else None,
     )
@@ -221,6 +275,12 @@ class TestFamily:
         code, out, err = run(capsys, "family", *argv)
         assert (code, out) == (2, "")
         assert err.startswith(message) and len(err.splitlines()) == 1
+
+    def test_range_at_the_letter_limit_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "canonical_invariant", lambda w: ZERO)
+        code, out, _ = run(capsys, "family", "--b", "1..999")
+        assert code == 0
+        assert out.splitlines()[-1] == "B_999: 0"
 
     def test_requires_choice(self, capsys):
         with pytest.raises(SystemExit) as exc:

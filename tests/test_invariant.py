@@ -17,6 +17,7 @@ from doodlepoly.twin import (
     inverse_word,
     iota_left,
     iota_right,
+    mirror_word,
     random_markov_walk,
     random_word,
     stab_word_left,
@@ -168,6 +169,19 @@ class TestMarkovBehavior:
                     iota_left(w).letters + stab_word_left(n, i).letters, n + 1
                 )
                 assert f_invariant(left).raw == scale * base
+
+    def test_mirror_reverses_psi_and_keeps_f(self):
+        # t_i -> t_(n-i) acts on the image as conjugation by the reversal J,
+        # so psi(mirror w) is psi(w) read from the opposite corner.
+        rng = random.Random(76)
+        for _ in range(600):
+            w = random_word(rng.randrange(2**30), 9, 12)
+            image, mirrored = psi(w), psi(mirror_word(w))
+            m = w.strands - 1
+            for r in range(m):
+                for c in range(m):
+                    assert mirrored[r, c] == image[m - 1 - r, m - 1 - c], w
+            assert f_invariant(mirror_word(w)) == f_invariant(w), w
 
     def test_walk_preserves_canonical(self):
         rng = random.Random(75)

@@ -1,5 +1,8 @@
-"""The package is pure standard-library Python with exact integers only."""
+"""The package is pure standard-library Python with exact integers only,
+and runs as ``python -m doodlepoly``."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,3 +57,23 @@ def test_checks_detect_each_violation(tmp_path):
         "bad.py:6: true division",
         "bad.py:7: true division",
     ]
+
+
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(doodlepoly.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "doodlepoly", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
+def test_module_entry_point():
+    done = _run_module("compute", "--word", "(12)^3", "--format", "table")
+    assert (done.returncode, done.stdout) == (0, "{2}(1,-2,1)\n")
+    done = _run_module("compute", "--word", "(1")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr

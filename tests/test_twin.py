@@ -16,6 +16,7 @@ from doodlepoly.twin import (
     inverse_word,
     iota_left,
     iota_right,
+    mirror_word,
     parse_word,
     permutation_of,
     random_markov_walk,
@@ -294,6 +295,15 @@ class TestStabWords:
                     assert w.letters == w.letters[::-1]
                     assert w.strands == n + 1
 
+    def test_mirror(self):
+        assert mirror_word(word([1, 2, 1, 3], 5)) == TwinWord((4, 3, 4, 2), 5)
+        assert mirror_word(TwinWord((), 1)) == TwinWord((), 1)
+        rng = random.Random(45)
+        for _ in range(60):
+            w = random_word(rng.randrange(2**30), 7, 10)
+            assert mirror_word(mirror_word(w)) == w
+            assert reduce_word(mirror_word(w)) == mirror_word(reduce_word(w))
+
     def test_right_permutation_is_edge_transposition(self):
         for n in range(1, 7):
             for i in range(n):
@@ -354,10 +364,11 @@ class TestMarkovMoves:
             n = r.strands
             searched = set()
             for kind, edge in (("M2R", n - 1), ("M2L", 1)):
+                side = r if kind == "M2R" else mirror_word(r)
                 found = set()
                 for i in range(n - 1):
                     try:
-                        _destabilize(r, kind, i)
+                        _destabilize(side, i)
                     except InvalidMoveError:
                         continue
                     found.add(i)
@@ -425,6 +436,24 @@ class TestRandom:
     def test_walk_deterministic(self):
         w = word([1, 2, 1], 3)
         assert random_markov_walk(7, w, 5) == random_markov_walk(7, w, 5)
+
+    def test_walk_golden(self):
+        # Recorded when each left-side move was still written out by hand;
+        # pins the rng draw order and M2L both ways and M0 backward.
+        end, trail = random_markov_walk(1, word([1, 2, 1, 3], 4), 10)
+        assert end == TwinWord((4, 3, 3, 3, 4, 2, 3, 4, 3, 2, 1, 2, 3, 2, 1), 5)
+        assert trail == [
+            MarkovMove("M1", conjugator=TwinWord((3,), 4)),
+            MarkovMove("M1", conjugator=TwinWord((2, 2), 4)),
+            MarkovMove("M2L", index=1, forward=False),
+            MarkovMove("M1", conjugator=TwinWord((1, 1), 3)),
+            MarkovMove("M2R", index=1),
+            MarkovMove("M2R", index=1, forward=False),
+            MarkovMove("M0", forward=False),
+            MarkovMove("M1", conjugator=TwinWord((1, 2), 3)),
+            MarkovMove("M2L", index=2),
+            MarkovMove("M2L", index=2),
+        ]
 
     def test_walk_replay(self):
         rng = random.Random(40)
