@@ -16,7 +16,15 @@ from .invariant import (
     split_union,
 )
 from .poly import IntPoly, NotDivisibleError, ZeroPolynomialError
-from .rep import PolyMatrix, a_matrix, determinant, fixed_row, generator_matrix, psi
+from .rep import (
+    PolyMatrix,
+    a_matrix,
+    determinant,
+    fixed_row,
+    generator_matrix,
+    psi,
+    row_times_matrix,
+)
 from .table import (
     TableEntry,
     VerifyReport,

@@ -12,7 +12,7 @@ import dataclasses
 import math
 
 from .poly import ONE, ZERO, IntPoly, NotDivisibleError
-from .rep import PolyMatrix, determinant, psi
+from .rep import det_rows, psi_columns
 from .twin import TwinWord
 
 
@@ -58,15 +58,18 @@ class InvariantValue:
 def f_invariant(w: TwinWord) -> InvariantValue:
     """The invariant of a word: det(psi(w) - I) / P_(n-1), exactly.
 
-    On one strand the value is the constant 1 by definition. The division
-    is guaranteed exact; a failure can only mean a bug in this package, so
-    it escalates rather than surfacing as a user error.
+    On one strand the value is the constant 1 by definition. The columns of
+    psi(w) - I go in as the rows, since det(M^T) = det(M). The division is
+    guaranteed exact; a failure can only mean a bug in this package, so it
+    escalates rather than surfacing as a user error.
     """
     if w.strands == 1:
         return InvariantValue(raw=ONE, strands=1, valuation=0, canonical=ONE)
     n = w.strands
-    m = psi(w) - PolyMatrix.identity(n - 1)
-    det = determinant(m)
+    cols = psi_columns(w)
+    for c, col in enumerate(cols):
+        col[c] = [col[c][0] - 1, *col[c][1:]] if col[c] else [-1]
+    det = det_rows(cols)
     try:
         raw = det.exact_div(p_poly(n - 1))
     except NotDivisibleError as exc:  # pragma: no cover - impossible by theory

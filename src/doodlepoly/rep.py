@@ -3,15 +3,15 @@
 Each generator of T_n maps to an (n-1) x (n-1) integer-polynomial matrix
 that is the identity outside one column; at x = 2 these specialize to the
 classical reflection matrices of the group. A word maps to the left-to-right
-product of its generator matrices. ``psi`` builds that product without any
-matrix multiplication: each letter rewrites one column of the running image
-as a shift-and-add of it and its two neighbours. Exact determinants of
-(image - identity) feed the invariant downstream. ``determinant`` works on
-integers, not polynomials: it evaluates the entries at x = 2^width, with
-width taken from Hadamard's bound on the unit circle (halved when the
-matrix is graded, since its determinant then lies in Z[x^2]), runs one
-integer Bareiss elimination, and reads the coefficients back as signed
-digits of the result.
+product of its generator matrices. The invariant runs on plain coefficient
+lists: ``psi_columns`` builds the image by one column shift-add per letter,
+and ``det_rows`` runs one integer Bareiss elimination at x = 2^width, with
+width from Hadamard's bound (halved when the matrix is graded, since its
+determinant then lies in Z[x^2]), and reads the coefficients back as signed
+digits. ``psi`` and ``determinant`` are the same two steps on ``PolyMatrix``.
+The rest (generator matrices, ``PolyMatrix`` products and evaluation, the
+descending-word image, fixed rows) is the paper's specification, kept as
+public API and as the reference the tests check the core against.
 """
 from __future__ import annotations
 
@@ -51,11 +51,7 @@ class PolyMatrix:
         return self.rows[i][j]
 
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
-        """Dense matrix product.
-
-        A specification that tests multiply generator matrices with; no
-        production path uses it.
-        """
+        """Dense matrix product."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         cols = tuple(zip(*other.rows))
@@ -88,9 +84,6 @@ def generator_matrix(n: int, i: int) -> PolyMatrix:
     Identity except a 3x3 block [[1, x, 0], [0, -1, 0], [0, x, 1]] centered
     at position i; at the edges the block loses its missing row and column.
     For n = 2 the single generator maps to the 1x1 matrix (-1).
-
-    This is the specification that tests check ``psi`` and the group
-    relations against; no production path uses it.
     """
     if n < 2:
         raise IndexError(f"need n >= 2, got {n}")
@@ -115,12 +108,18 @@ def generator_matrix(n: int, i: int) -> PolyMatrix:
 
 
 def psi(w: TwinWord) -> PolyMatrix:
-    """Image of a word: product of generator matrices, first letter leftmost.
+    """Image of a word: product of generator matrices, first letter leftmost."""
+    cols = psi_columns(w)
+    return PolyMatrix(len(cols), tuple(tuple(map(IntPoly, r)) for r in zip(*cols)))
+
+
+def psi_columns(w: TwinWord) -> list[list[list[int]]]:
+    """The columns of psi(w), each entry an ascending coefficient list.
 
     Right-multiplying by the image of generator l rewrites only column
     j = l-1, to x*c[j-1] - c[j] + x*c[j+1], with a missing neighbour column
     read as zero. So the product is built by one such column rewrite per
-    letter on coefficient lists, starting from the identity.
+    letter, starting from the identity. Every list is new and the caller's.
     """
     if w.strands < 2:
         raise ValueError("word images need at least 2 strands")
@@ -132,8 +131,7 @@ def psi(w: TwinWord) -> PolyMatrix:
         left = cols[j - 1] if j > 0 else zero_col
         right = cols[j + 1] if j + 1 < m else zero_col
         cols[j] = [_shift_add_sub(*t) for t in zip(left, cols[j], right)]
-    rows = tuple(tuple(IntPoly(col[r]) for col in cols) for r in range(m))
-    return PolyMatrix(m, rows)
+    return cols
 
 
 def _shift_add_sub(a: list[int], mid: list[int], b: list[int]) -> list[int]:
@@ -153,7 +151,14 @@ def _shift_add_sub(a: list[int], mid: list[int], b: list[int]) -> list[int]:
 
 
 def determinant(m: PolyMatrix) -> IntPoly:
+    """Exact determinant of a polynomial matrix (see ``det_rows``)."""
+    return det_rows([[e.coeffs for e in row] for row in m.rows])
+
+
+def det_rows(rows: Sequence[Sequence[Sequence[int]]]) -> IntPoly:
     """Exact determinant, as one integer Bareiss elimination at x = 2^width.
+
+    Each row holds ascending coefficient sequences, trailing zeros allowed.
 
     Bound: on |x| = 1 every entry has modulus at most |m_ij|_1, the sum of
     its absolute coefficients, so by Hadamard |det m(x)| <= H =
@@ -163,7 +168,7 @@ def determinant(m: PolyMatrix) -> IntPoly:
     digit of that many bits.
 
     Grading: when every entry (r, c) has only terms of degree = r - c
-    (mod 2), as every psi(w) - I does, each Leibniz term has even degree
+    (mod 2), as psi(w) - I and its transpose do, each Leibniz term is even
     and det(m) lies in Z[x^2]; then consecutive coefficients sit 2 * width
     bits apart, so width = ceil(bits / 2) suffices and every integer is half
     as long. The stride (step 2 or 1) is read off the entries.
@@ -173,15 +178,14 @@ def determinant(m: PolyMatrix) -> IntPoly:
     gives det(m)(2^width) exactly. Its signed base-2^(step * width) digits
     are the coefficients at degrees 0, step, 2 * step, ...
     """
-    dim = m.dim
+    dim = len(rows)
     if dim == 0:
         return ONE
     norm_product = 1
     step = 2
-    for r, row in enumerate(m.rows):
+    for r, row in enumerate(rows):
         row_sum = 0
-        for c, e in enumerate(row):
-            cs = e.coeffs
+        for c, cs in enumerate(row):
             if cs:
                 row_sum += sum(map(abs, cs)) ** 2
                 if step == 2 and any(cs[(r - c + 1) % 2::2]):
@@ -191,7 +195,7 @@ def determinant(m: PolyMatrix) -> IntPoly:
         return ZERO
     bits = (norm_product.bit_length() + 1) // 2 + 2
     width = -(-bits // step)
-    a = [[_pack(e.coeffs, width) for e in row] for row in m.rows]
+    a = [[_pack(cs, width) for cs in row] for row in rows]
     sign = 1
     prev = 1
     for k in range(dim - 1):
@@ -216,7 +220,7 @@ def determinant(m: PolyMatrix) -> IntPoly:
     return _unpack(sign * a[dim - 1][dim - 1], step, width)
 
 
-def _pack(coeffs: tuple[int, ...], width: int) -> int:
+def _pack(coeffs: Sequence[int], width: int) -> int:
     """The value at x = 2^width, by Horner; exact for any coefficient size."""
     v = 0
     for c in reversed(coeffs):

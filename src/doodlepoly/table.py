@@ -58,7 +58,8 @@ def decode_entry(text: str) -> IntPoly:
     """Decode ``{k}(c1,...,cm)`` (or the zero token ``0``) into a polynomial.
 
     A ``k`` above MAX_HALF_DEGREE raises FormatError before anything of
-    size k is allocated.
+    size k is allocated. Only the form ``encode_entry`` writes is read: a
+    zero first or last coefficient raises FormatError at that coefficient.
     """
     s = text.strip()
     if s == "0":
@@ -77,6 +78,7 @@ def decode_entry(text: str) -> IntPoly:
         raise FormatError("expected ')' at the end", len(s) - 1)
     body = s[pos + 1:-1]
     coeffs: list[int] = []
+    starts: list[int] = []
     offset = pos + 1
     for part in body.split(","):
         try:
@@ -85,7 +87,11 @@ def decode_entry(text: str) -> IntPoly:
             raise FormatError(
                 f"expected an integer, got {part.strip()!r}", offset
             ) from None
+        starts.append(offset)
         offset += len(part) + 1
+    for j, end in ((0, "first"), (-1, "last")):
+        if not coeffs[j]:
+            raise FormatError(f"the {end} coefficient must be nonzero", starts[j])
     if len(coeffs) > k + 1:
         raise FormatError(f"{len(coeffs)} coefficients exceed k+1 = {k + 1}", pos)
     out = [0] * (2 * k + 1)

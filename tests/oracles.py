@@ -4,7 +4,8 @@ These deliberately avoid the production code paths they are used to check:
 the polynomial determinant oracle is naive Laplace expansion; the integer
 generator images are built from their own definition rather than by
 evaluating the deformed generators, multiplied out at an integer point, and
-their determinant taken by Gaussian elimination over the rationals.
+their determinant taken by Gaussian elimination over the rationals; the
+normalizer is evaluated by its own recurrence.
 """
 from fractions import Fraction
 
@@ -90,3 +91,30 @@ def det_rational(rows: list[list[int]]) -> int:
                 a[r] = [x - f * y for x, y in zip(a[r], a[k])]
     assert det.denominator == 1
     return int(det)
+
+
+def p_at(n: int, a: int) -> int:
+    """P_n(a) by the recurrence P_0 = 1, P_1 = -2, P_n = -2*P_(n-1) - a^2*P_(n-2)."""
+    prev, cur = 1, -2
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, -2 * cur - a * a * prev
+    return cur
+
+
+def raw_invariant_error(n: int, letters, raw: IntPoly) -> str | None:
+    """Why raw * P_(n-1) is not det(psi(w) - I) as a polynomial, or None.
+
+    Entries of psi(w) have degree at most len(w), so the determinant has
+    degree at most D = (n - 1) * len(w), and raw * P_(n-1) at most
+    deg(raw) + n - 1. Two polynomials of degree at most d that agree at
+    d + 1 distinct integers are equal, so comparing values suffices.
+    """
+    d = max((n - 1) * len(letters), len(raw.coeffs) - 1 + n - 1)
+    for a in range(-(d // 2), d - d // 2 + 1):
+        lhs = sum(c * a**k for k, c in enumerate(raw.coeffs)) * p_at(n - 1, a)
+        rhs = det_rational(image_minus_identity_at(n, letters, a))
+        if lhs != rhs:
+            return f"raw * P_{n - 1} = {lhs} but det(psi - I) = {rhs} at x = {a}"
+    return None

@@ -12,6 +12,7 @@ from doodlepoly.invariant import (
 )
 from doodlepoly.poly import ONE, ZERO, IntPoly
 from doodlepoly.rep import PolyMatrix, determinant, psi
+from doodlepoly.table import dataset, decode_entry, entry_by_name
 from doodlepoly.twin import (
     TwinWord,
     inverse_word,
@@ -24,6 +25,7 @@ from doodlepoly.twin import (
     stab_word_right,
     word,
 )
+from oracles import raw_invariant_error
 
 
 def P(*coeffs: int) -> IntPoly:
@@ -109,6 +111,28 @@ class TestFInvariant:
             w = random_word(rng.randrange(2**30), 6, 10)
             det = determinant(psi(w) - PolyMatrix.identity(w.strands - 1))
             det.exact_div(p_poly(w.strands - 1))  # must not raise
+
+    def test_matches_whole_polynomial_oracle(self):
+        rng = random.Random(64)
+        words = [random_word(rng.randrange(2**30), 6, 16) for _ in range(150)]
+        table = [e.word() for e in dataset()]  # values up to degree 14
+        words += [w for w in table if w.strands <= 6 and len(w.letters) <= 16]
+        words += [TwinWord((), n) for n in range(2, 7)]
+        words.append(TwinWord((1, 3), 5))  # psi has diagonal entries exactly 1
+        for w in words:
+            error = raw_invariant_error(w.strands, w.letters, f_invariant(w).raw)
+            assert error is None, (w, error)
+
+    def test_builds_no_poly_matrix(self, monkeypatch):
+        names = ("8^1", "15^1a", "21^1d", "6^3", "12^4a")
+        expected = {name: decode_entry(entry_by_name(name).encoded) for name in names}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("f_invariant built a PolyMatrix")
+
+        monkeypatch.setattr(PolyMatrix, "__init__", refuse)
+        for name in names:
+            assert f_invariant(entry_by_name(name).word()).raw == expected[name], name
 
 
 class TestCanonical:

@@ -237,6 +237,9 @@ class TestDeterminant:
             for _ in range(150):
                 m = self.random_matrix(rng, graded)
                 assert determinant(m) == det_cofactor(m), m
+                # f_invariant feeds the columns of psi(w) - I in as rows
+                transpose = PolyMatrix.from_rows(list(zip(*m.rows)))
+                assert determinant(transpose) == determinant(m), m
             for _ in range(20):
                 # high-degree entries: many digits to read back
                 m = self.random_matrix(rng, graded, max_dim=3, max_len=60)

@@ -59,6 +59,16 @@ class TestDecode:
         assert exc.value.position == 6
 
     @pytest.mark.parametrize(
+        "text, position",
+        [("{2}(0,1)", 4), ("{0}(0)", 4), ("{1}(1,0)", 6), ("{1}(1,-0)", 6)],
+    )
+    def test_non_canonical_refused(self, text, position):
+        # each would decode to a polynomial that encodes differently
+        with pytest.raises(FormatError, match="coefficient must be nonzero") as exc:
+            decode_entry(text)
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize(
         "k", ["1000001", "9" * 20, "9" * 5000], ids=["over", "20-digits", "5000-digits"]
     )
     def test_half_degree_limit(self, k):
