@@ -13,7 +13,7 @@ import math
 
 from .poly import ONE, ZERO, IntPoly, NotDivisibleError
 from .rep import det_rows, psi_columns
-from .twin import TwinWord
+from .twin import TwinWord, reduce_word
 
 
 def chebyshev_u(n: int) -> IntPoly:
@@ -58,18 +58,41 @@ class InvariantValue:
 def f_invariant(w: TwinWord) -> InvariantValue:
     """The invariant of a word: det(psi(w) - I) / P_(n-1), exactly.
 
-    On one strand the value is the constant 1 by definition. The columns of
-    psi(w) - I go in as the rows, since det(M^T) = det(M). The division is
-    guaranteed exact; a failure can only mean a bug in this package, so it
-    escalates rather than surfacing as a user error.
+    On one strand the value is the constant 1 by definition. Otherwise the
+    word is reduced first: psi is a homomorphism, so the reduced word has the
+    same image and the same value. If some index c in 1..n-1 is then
+    missing, column c of psi(w) is the unit column, column c of psi(w) - I
+    is zero, and the value is 0 (the closure is split); no image is built.
+    Otherwise w = uv is split at |u| = len(w) // 2. Each generator is an
+    involution of determinant -1, so psi(u)^-1 = psi(reverse u),
+    det psi(u) = (-1)^|u|, psi(uv) - I = psi(u) * (psi(v) - psi(reverse u))
+    and
+
+        det(psi(w) - I) = (-1)^|u| * det(psi(v) - psi(reverse u)),
+
+    whose entries have about half the degree. Both halves are graded (entry
+    (r, c) has only degrees = r - c mod 2), so the difference keeps the
+    half-width stride of ``det_rows``; its columns go in as the rows, since
+    det(M^T) = det(M). With u empty this is psi(w) - I itself.
+
+    The division is guaranteed exact; a failure can only mean a bug in this
+    package, so it escalates rather than surfacing as a user error.
     """
     if w.strands == 1:
         return InvariantValue(raw=ONE, strands=1, valuation=0, canonical=ONE)
     n = w.strands
-    cols = psi_columns(w)
-    for c, col in enumerate(cols):
-        col[c] = [col[c][0] - 1, *col[c][1:]] if col[c] else [-1]
-    det = det_rows(cols)
+    zero = InvariantValue(raw=ZERO, strands=n, valuation=0, canonical=ZERO)
+    letters = reduce_word(w).letters
+    if len(set(letters)) < n - 1:
+        return zero
+    k = len(letters) // 2
+    v_cols = psi_columns(TwinWord(letters[k:], n))
+    u_inv_cols = psi_columns(TwinWord(letters[:k][::-1], n))
+    det = det_rows(
+        [list(map(_sub, a, b)) for a, b in zip(v_cols, u_inv_cols)]
+    )
+    if k % 2:
+        det = -det
     try:
         raw = det.exact_div(p_poly(n - 1))
     except NotDivisibleError as exc:  # pragma: no cover - impossible by theory
@@ -78,9 +101,24 @@ def f_invariant(w: TwinWord) -> InvariantValue:
             f"for word {w.letters} on {n} strands"
         ) from exc
     if raw.is_zero():
-        return InvariantValue(raw=ZERO, strands=n, valuation=0, canonical=ZERO)
+        return zero
     v, stripped = raw.x2_valuation()
     return InvariantValue(raw=raw, strands=n, valuation=v, canonical=stripped)
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    """a - b on ascending coefficient lists, trailing zeros trimmed.
+
+    When b is empty, a itself is returned, not a copy.
+    """
+    if not b:
+        return a
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def canonical_invariant(w: TwinWord) -> IntPoly:

@@ -48,7 +48,9 @@ class TableEntry:
         return parse_word(self.word_text)
 
 
-_ENCODED_RE = re.compile(r"\{(\d+)\}")
+_ENCODED_RE = re.compile(r"\{([^{}]*)\}")
+_K_RE = re.compile(r"0|[1-9][0-9]*")
+_COEFF_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 MAX_HALF_DEGREE = 1_000_000
 """The largest ``{k}`` that ``decode_entry`` accepts."""
@@ -58,8 +60,11 @@ def decode_entry(text: str) -> IntPoly:
     """Decode ``{k}(c1,...,cm)`` (or the zero token ``0``) into a polynomial.
 
     A ``k`` above MAX_HALF_DEGREE raises FormatError before anything of
-    size k is allocated. Only the form ``encode_entry`` writes is read: a
-    zero first or last coefficient raises FormatError at that coefficient.
+    size k is allocated. Only the spelling ``encode_entry`` writes is read,
+    up to whitespace around the coefficients: ``k`` and every coefficient
+    are ASCII decimals without a '+' sign, leading zeros or '_', and the
+    first and last coefficients are nonzero. Anything else raises
+    FormatError at the offending token.
     """
     s = text.strip()
     if s == "0":
@@ -68,6 +73,8 @@ def decode_entry(text: str) -> IntPoly:
     if not m:
         raise FormatError("expected '{k}' with a nonnegative integer k", 0)
     digits = m.group(1)
+    if not _K_RE.fullmatch(digits):
+        raise FormatError(f"k must be a canonical ASCII integer, got {digits!r}", 1)
     if len(digits) > len(str(MAX_HALF_DEGREE)) or int(digits) > MAX_HALF_DEGREE:
         raise FormatError(f"k exceeds the limit of {MAX_HALF_DEGREE}", 1)
     k = int(digits)
@@ -81,13 +88,14 @@ def decode_entry(text: str) -> IntPoly:
     starts: list[int] = []
     offset = pos + 1
     for part in body.split(","):
-        try:
-            coeffs.append(int(part.strip()))
-        except ValueError:
+        token = part.strip()
+        start = offset + len(part) - len(part.lstrip())
+        if not _COEFF_RE.fullmatch(token):
             raise FormatError(
-                f"expected an integer, got {part.strip()!r}", offset
-            ) from None
-        starts.append(offset)
+                f"expected a canonical ASCII integer, got {token!r}", start
+            )
+        coeffs.append(int(token))
+        starts.append(start)
         offset += len(part) + 1
     for j, end in ((0, "first"), (-1, "last")):
         if not coeffs[j]:

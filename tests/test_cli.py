@@ -1,6 +1,6 @@
 import pytest
 
-from doodlepoly import cli
+from doodlepoly import cli, invariant, rep
 from doodlepoly.cli import main
 from doodlepoly.poly import ZERO
 
@@ -40,6 +40,19 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--word", "(12)^4", "--format", "table")
         assert code == 0
         assert out.strip() == "{2}(1,-4,4)"
+
+    def test_missing_generator_skips_the_image(self, capsys, monkeypatch):
+        # t_1 alone on 1000 strands leaves 998 columns of psi(w) - I zero;
+        # the answer is 0 without building a 999 x 999 image
+        def refuse(w):
+            raise AssertionError("psi_columns was called")
+
+        monkeypatch.setattr(rep, "psi_columns", refuse)
+        monkeypatch.setattr(invariant, "psi_columns", refuse)
+        code, out, _ = run(
+            capsys, "compute", "--strands", "1000", "--word", "1", "--format", "table"
+        )
+        assert (code, out) == (0, "0\n")
 
     def test_coeffs_format(self, capsys):
         code, out, _ = run(capsys, "compute", "--word", "(12)^3", "--format", "coeffs")

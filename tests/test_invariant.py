@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from doodlepoly import invariant
 from doodlepoly.invariant import (
     canonical_invariant,
     chebyshev_u,
@@ -133,6 +134,25 @@ class TestFInvariant:
         monkeypatch.setattr(PolyMatrix, "__init__", refuse)
         for name in names:
             assert f_invariant(entry_by_name(name).word()).raw == expected[name], name
+
+    @pytest.mark.parametrize(
+        "letters, strands",
+        [((1, 1, 2), 3), ((3, 1, 3, 2), 4), ((2, 1, 1, 2, 1), 3), ((1,), 3)],
+    )
+    def test_missing_generator_gives_zero_without_an_image(
+        self, monkeypatch, letters, strands
+    ):
+        # after reduction some t_c is missing, so column c of psi(w) - I is 0
+        w = TwinWord(letters, strands)
+        assert raw_invariant_error(strands, letters, ZERO) is None
+
+        def refuse(w):
+            raise AssertionError("psi_columns was called")
+
+        monkeypatch.setattr(invariant, "psi_columns", refuse)
+        value = f_invariant(w)
+        assert (value.raw, value.valuation, value.canonical) == (ZERO, 0, ZERO)
+        assert value.strands == strands
 
 
 class TestCanonical:

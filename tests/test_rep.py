@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from doodlepoly.invariant import f_invariant
 from doodlepoly.poly import ONE, ZERO, IntPoly
 from doodlepoly.rep import (
     PolyMatrix,
@@ -19,12 +20,14 @@ from doodlepoly.twin import (
     iota_left,
     iota_right,
     random_word,
+    reduce_word,
     word,
 )
 from oracles import (
     det_cofactor,
     det_rational,
     image_minus_identity_at,
+    p_at,
     reflection_matrix,
 )
 
@@ -246,16 +249,23 @@ class TestDeterminant:
                 assert determinant(m) == det_cofactor(m), m
 
     def test_matches_integer_point_oracle(self):
-        # sizes beyond the cofactor oracle's reach
+        # sizes beyond the cofactor oracle's reach, through the adapter and
+        # through the reduced, split path f_invariant runs
         rng = random.Random(2009)
         words = [one_component_word(rng, 12, 251), one_component_word(rng, 16, 201)]
         words.append(family_b(128))
+        halves = [len(reduce_word(w)) // 2 for w in words]
+        # an odd reduced length, and an odd first half, whose sign f_invariant flips
+        assert any(len(reduce_word(w)) % 2 for w in words)
+        assert any(k % 2 for k in halves) and not all(k % 2 for k in halves)
         for w in words:
             n = w.strands
             det = determinant(psi(w) - PolyMatrix.identity(n - 1))
+            raw = f_invariant(w).raw
             for a in (2, 3, -3, 5):
                 expected = det_rational(image_minus_identity_at(n, w.letters, a))
                 assert det.evaluate(a) == expected, (w, a)
+                assert raw.evaluate(a) * p_at(n - 1, a) == expected, (w, a)
 
 
 def one_component_word(rng: random.Random, strands: int, length: int) -> TwinWord:

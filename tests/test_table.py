@@ -58,13 +58,28 @@ class TestDecode:
             decode_entry("{2}(1,?)")
         assert exc.value.position == 6
 
+    NON_CANONICAL = [
+        ("{2}(0,1)", 4, "first coefficient must be nonzero"),
+        ("{0}(0)", 4, "first coefficient must be nonzero"),
+        ("{1}(1,0)", 6, "last coefficient must be nonzero"),
+        ("{1}(1,-0)", 6, "canonical ASCII integer, got '-0'"),
+        ("{0}(+1)", 4, "canonical ASCII integer, got '\\+1'"),
+        ("{0}(01)", 4, "canonical ASCII integer, got '01'"),
+        ("{0}(1_0)", 4, "canonical ASCII integer, got '1_0'"),
+        ("{0}(٣)", 4, "canonical ASCII integer, got '٣'"),
+        ("{2}(1, 01,1)", 7, "canonical ASCII integer, got '01'"),
+        ("{01}(1)", 1, "k must be a canonical ASCII integer"),
+        ("{٢}(1)", 1, "k must be a canonical ASCII integer"),
+    ]
+
     @pytest.mark.parametrize(
-        "text, position",
-        [("{2}(0,1)", 4), ("{0}(0)", 4), ("{1}(1,0)", 6), ("{1}(1,-0)", 6)],
+        "text, position, message",
+        NON_CANONICAL,
+        ids=[f"{text}-{position}" for text, position, _ in NON_CANONICAL],
     )
-    def test_non_canonical_refused(self, text, position):
+    def test_non_canonical_refused(self, text, position, message):
         # each would decode to a polynomial that encodes differently
-        with pytest.raises(FormatError, match="coefficient must be nonzero") as exc:
+        with pytest.raises(FormatError, match=message) as exc:
             decode_entry(text)
         assert exc.value.position == position
 
